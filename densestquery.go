@@ -2,7 +2,6 @@ package mule
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"github.com/uncertain-graphs/mule/internal/udensest"
@@ -38,12 +37,7 @@ type DensestStats = udensest.Stats
 // to the report loop over the finished, canonically ordered family —
 // cancellation and WithBudget still abort the mining itself mid-peel.
 type DensestQuery struct {
-	g         *Graph
-	cfg       udensest.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p prepared[DenseSubgraph, DensestStats]
 }
 
 // NewDensestQuery prepares a most-probable densest-subgraph mining run on
@@ -52,58 +46,55 @@ type DensestQuery struct {
 // plus the shared execution options (WithShards/WithAutoShard, WithTenant,
 // WithExecutor, WithRetry, WithStallTimeout).
 func NewDensestQuery(g *Graph, opts ...Option) (*DensestQuery, error) {
-	o, err := applyOptions(kindDensest, opts)
+	o, p, err := prepare[DenseSubgraph, DensestStats](kindDensest, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newDensestQuery(g, udensest.Config{Budget: o.cfg.Budget, Stall: o.stall}, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
-}
-
-// newDensestQuery is the single constructor behind NewDensestQuery; all
-// invariants are enforced here.
-func newDensestQuery(g *Graph, cfg udensest.Config, limit int64) (*DensestQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+	cfg := udensest.Config{Budget: o.cfg.Budget, Stall: o.stall}
 	if err := udensest.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	return &DensestQuery{g: g, cfg: cfg, limit: limit}, nil
-}
-
-// run executes the mining under the WithLimit bound.
-func (q *DensestQuery) run(ctx context.Context, visit DensestVisitor) (stats DensestStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
+	p.budget = cfg.Budget
+	p.fam = family[DenseSubgraph, DensestStats]{
+		mine: func(ctx context.Context, visit func(DenseSubgraph) bool) (DensestStats, error) {
+			return udensest.RunContext(ctx, g, cfg, visit)
+		},
+		// The candidate family is defined per component, so the peel phase
+		// shards exactly; scoring waits for the whole family (global).
+		parts: componentParts(g, func(ctx context.Context, g *Graph, budget int64, visit func(DenseSubgraph) bool) (DensestStats, error) {
+			c := cfg
+			c.Budget = budget
+			cands, stats, err := udensest.PeelContext(ctx, g, c)
+			for _, cand := range cands {
+				visit(cand)
+			}
+			return stats, err
+		}, func(c DenseSubgraph, newToOld []int) DenseSubgraph {
+			remapIDs(c.Vertices, newToOld)
+			return c
+		}),
+		numParts: g.NumComponents,
+		fold: func(agg *DensestStats, s DensestStats) int64 {
+			agg.PeelSteps += s.PeelSteps
+			agg.Candidates += s.Candidates
+			agg.BestDensity = max(agg.BestDensity, s.BestDensity)
+			return s.PeelSteps
+		},
+		tally: func(s *DensestStats) (*RunStatus, *int64) { return &s.Status, &s.Emitted },
+		// One global scoring pass against the whole-family champion density
+		// d̂; a component's internal edges are the same set in the parent
+		// graph, so scoring against g reproduces the unsharded
+		// probabilities exactly.
+		global: func(ctx context.Context, all []DenseSubgraph, agg *DensestStats) error {
+			stats, err := udensest.ScoreContext(ctx, g, all, udensest.BestDensity(all), cfg)
+			agg.Scored += stats.Scored
+			if err == nil {
+				udensest.SortCandidates(all)
+			}
+			return err
+		},
 	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return DensestStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	stats, err = udensest.RunContext(ctx, q.g, q.cfg, limitVisitor(visit, q.limit, &userStopped))
-	return stats, userStopped, err
+	return &DensestQuery{p: p}, nil
 }
 
 // Run mines the candidate family and reports each scored candidate to
@@ -112,14 +103,7 @@ func (q *DensestQuery) run(ctx context.Context, visit DensestVisitor) (stats Den
 // context/budget causes for aborts, ErrStopped when visit returned false,
 // nil for complete runs and WithLimit truncation.
 func (q *DensestQuery) Run(ctx context.Context, visit DensestVisitor) (DensestStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.run(ctx, visit)
 }
 
 // Collect materializes the scored candidate family in canonical order:
@@ -127,22 +111,13 @@ func (q *DensestQuery) Run(ctx context.Context, visit DensestVisitor) (DensestSt
 // size, then lexicographic vertices. The first element is the most probable
 // densest subgraph.
 func (q *DensestQuery) Collect(ctx context.Context) ([]DenseSubgraph, error) {
-	var out []DenseSubgraph
-	_, _, err := q.run(ctx, func(c DenseSubgraph) bool {
-		out = append(out, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return q.p.collect(ctx)
 }
 
 // Count returns the number of candidates the query reports, without
 // materializing them (subject to WithLimit, like every run method).
 func (q *DensestQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
+	return q.p.count(ctx)
 }
 
 // Stream returns the scored candidates as a range-over-func stream with the
@@ -153,8 +128,5 @@ func (q *DensestQuery) Count(ctx context.Context) (int64, error) {
 // completion when the first element is requested; candidates then stream
 // best first.
 func (q *DensestQuery) Stream(ctx context.Context) iter.Seq2[DenseSubgraph, error] {
-	return streamOf(func(emit func(DenseSubgraph) bool) error {
-		_, _, err := q.run(ctx, emit)
-		return err
-	})
+	return q.p.stream(ctx)
 }

@@ -257,9 +257,11 @@ type RunResult struct {
 func TimedMULE(g *uncertain.Graph, alpha float64, cfg Config, coreCfg core.Config) (RunResult, error) {
 	cfg = cfg.withDefaults()
 	var res RunResult
+	// Start the clock before arming the deadline, so a run cut off by it
+	// always reports at least the full budget as elapsed.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
 	defer cancel()
-	start := time.Now()
 	stats, err := runEnumeration(ctx, g, alpha, coreCfg)
 	res.Elapsed = time.Since(start)
 	switch {

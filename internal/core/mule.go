@@ -74,7 +74,7 @@ func (e *enumerator) workerClone(stats *Stats, s *wsShared) *enumerator {
 		g:             e.g,
 		alpha:         e.alpha,
 		minSize:       e.minSize,
-		visit:         s.wrapVisitor(),
+		visit:         s.wrapVisitor(stats),
 		newToOld:      e.newToOld,
 		identity:      e.identity,
 		checkInv:      e.checkInv,

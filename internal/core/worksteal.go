@@ -97,8 +97,10 @@ type wsShared struct {
 // wrapVisitor serializes the user visitor across slots and latches the
 // early-stop: after any visitor invocation returns false, every later
 // emission is swallowed, preserving the serial contract that no clique is
-// delivered after the stop.
-func (s *wsShared) wrapVisitor() Visitor {
+// delivered after the stop. A swallowed emission is taken back out of the
+// calling slot's stats, so Emitted counts exactly the cliques the visitor
+// saw, as in a serial run.
+func (s *wsShared) wrapVisitor(stats *Stats) Visitor {
 	if s.visit == nil {
 		return nil
 	}
@@ -106,6 +108,7 @@ func (s *wsShared) wrapVisitor() Visitor {
 		s.visitMu.Lock()
 		defer s.visitMu.Unlock()
 		if s.ctl.stop.Load() {
+			stats.Emitted--
 			return false
 		}
 		if !s.visit(c, p) {

@@ -122,15 +122,21 @@ func (r *registry) list() []*entry {
 // epoch. The maintainer commits update-by-update, so on a mid-batch error
 // (context fired, invalid update) the committed prefix is still consistent
 // and still published; the returned epoch is the entry's current one either
-// way. alpha seeds the maintainer on the entry's first batch and is ignored
-// afterwards.
-func (e *entry) apply(ctx context.Context, r *registry, batch []mule.EdgeUpdate, alpha float64) (mule.CliqueDiff, mule.MaintainerStats, uint64, error) {
+// way. alpha seeds the maintainer on the entry's first batch; later
+// batches keep the seeded α, and one that names a different α explicitly
+// (alphaSet) is rejected with a wrapped ErrConfig before any update
+// applies.
+func (e *entry) apply(ctx context.Context, r *registry, batch []mule.EdgeUpdate, alpha float64, alphaSet bool) (mule.CliqueDiff, mule.MaintainerStats, uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.snapshot()
 	if snap.Bipartite != nil {
 		return mule.CliqueDiff{}, mule.MaintainerStats{}, snap.Epoch,
 			fmt.Errorf("graph %q is bipartite; updates apply to regular graphs only: %w", e.name, mule.ErrConfig)
+	}
+	if e.maint != nil && alphaSet && alpha != e.maint.Alpha() {
+		return mule.CliqueDiff{}, mule.MaintainerStats{}, snap.Epoch,
+			fmt.Errorf("graph %q is maintained at alpha %v, not %v: %w", e.name, e.maint.Alpha(), alpha, mule.ErrConfig)
 	}
 	if e.maint == nil {
 		m, err := mule.NewMaintainerContext(ctx, snap.Graph, alpha)

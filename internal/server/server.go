@@ -466,7 +466,9 @@ type applyResponse struct {
 // handleApply ingests one edge-update batch through the graph's incremental
 // maintainer and publishes the new snapshot under a bumped epoch. The body
 // is {"updates":[{"u":0,"v":1,"p":0.5},{"u":2,"v":3,"remove":true}]} or the
-// bare array. ?alpha= seeds the maintainer on the first batch.
+// bare array. ?alpha= seeds the maintainer on the first batch (default
+// 0.5); later batches keep that α, and one naming a different α gets 400
+// with nothing applied.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e := s.reg.get(name)
@@ -474,14 +476,14 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "", fmt.Errorf("graph %q not loaded", name))
 		return
 	}
-	alpha := defaultMaintainerAlpha
+	alpha, alphaSet := defaultMaintainerAlpha, false
 	if raw := r.URL.Query().Get("alpha"); raw != "" {
 		f, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "", fmt.Errorf("parameter %q: %q is not a number", "alpha", raw))
 			return
 		}
-		alpha = f
+		alpha, alphaSet = f, true
 	}
 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
@@ -500,7 +502,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		batch[i] = mule.EdgeUpdate{U: u.U, V: u.V, P: u.P, Remove: u.Remove}
 	}
 
-	diff, stats, epoch, err := e.apply(r.Context(), s.reg, batch, alpha)
+	diff, stats, epoch, err := e.apply(r.Context(), s.reg, batch, alpha, alphaSet)
 	resp := applyResponse{
 		Graph: name, Epoch: epoch, Updates: stats.Updates,
 		CliquesAdded:   len(diff.Added),

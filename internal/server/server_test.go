@@ -558,3 +558,47 @@ func TestCacheWarming(t *testing.T) {
 		t.Fatalf("tracked shapes after delete = %d, want 0", got)
 	}
 }
+
+// TestApplyAlphaPinned pins the /apply α contract: the first batch's
+// ?alpha= seeds the graph's maintainer, a later batch naming a different α
+// is rejected with 400 before anything applies (same epoch, same graph),
+// and later batches that repeat or omit α keep the seeded one.
+func TestApplyAlphaPinned(t *testing.T) {
+	s, ts := newTestServer(t)
+	if code, body, _ := do(t, "POST", ts.URL+"/graphs/g", testGraphText(t)); code != http.StatusOK {
+		t.Fatalf("load: %d %s", code, body)
+	}
+	apply := func(query, body string) (int, applyResponse) {
+		t.Helper()
+		code, out, _ := do(t, "POST", ts.URL+"/graphs/g/apply"+query, []byte(body))
+		var ar applyResponse
+		if err := json.Unmarshal(out, &ar); err != nil {
+			t.Fatalf("apply%s: decoding %s: %v", query, out, err)
+		}
+		return code, ar
+	}
+	if code, ar := apply("?alpha=0.3", `{"updates":[{"u":2,"v":3,"p":0.9}]}`); code != http.StatusOK {
+		t.Fatalf("seeding apply: %d %+v", code, ar)
+	}
+	before := s.reg.get("g").snapshot()
+
+	code, ar := apply("?alpha=0.7", `{"updates":[{"u":0,"v":5,"p":0.9}]}`)
+	if code != http.StatusBadRequest || ar.Updates != 0 || !strings.Contains(ar.Error, "alpha") {
+		t.Fatalf("mismatched alpha: %d %+v, want 400 naming alpha with no updates", code, ar)
+	}
+	if ar.Epoch != before.Epoch {
+		t.Fatalf("mismatched alpha reported epoch %d, want unchanged %d", ar.Epoch, before.Epoch)
+	}
+	if after := s.reg.get("g").snapshot(); after != before || after.Graph.HasEdge(0, 5) {
+		t.Fatalf("mismatched alpha changed the graph: epoch %d → %d", before.Epoch, after.Epoch)
+	}
+
+	for _, query := range []string{"?alpha=0.3", ""} {
+		if code, ar := apply(query, `{"updates":[{"u":0,"v":5,"p":0.9}]}`); code != http.StatusOK || ar.Epoch <= before.Epoch {
+			t.Fatalf("apply%q: %d %+v, want 200 under a new epoch", query, code, ar)
+		}
+	}
+	if m := s.reg.get("g").maint; m.Alpha() != 0.3 {
+		t.Fatalf("maintainer alpha = %v, want the seeded 0.3", m.Alpha())
+	}
+}

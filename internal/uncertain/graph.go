@@ -143,9 +143,12 @@ func (b *Builder) Build() *Graph {
 }
 
 func (g *Graph) sortRows() {
+	// One sorter reused across rows: boxing a fresh value per row would cost
+	// an allocation per vertex.
+	row := &rowSorter{}
 	for u := 0; u < g.n; u++ {
 		lo, hi := g.offsets[u], g.offsets[u+1]
-		row := rowSorter{nbrs: g.nbrs[lo:hi], probs: g.probs[lo:hi]}
+		row.nbrs, row.probs = g.nbrs[lo:hi], g.probs[lo:hi]
 		sort.Sort(row)
 	}
 }

@@ -3,6 +3,7 @@ package uncertain
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // EdgeScan feeds a stream of probabilistic edges to emit, one call per edge,
@@ -55,9 +56,10 @@ func FromEdgeScanner(scan EdgeScan) (*Graph, error) {
 			maxV = hi
 		}
 		if hi >= len(deg) {
-			grown := make([]int32, hi+1)
-			copy(grown, deg)
-			deg = grown
+			// Grow geometrically, so edges arriving in endpoint order cost
+			// O(log n) reallocations, not one per new endpoint. Capacity
+			// past len is never written, so it is still zero.
+			deg = slices.Grow(deg, hi+1-len(deg))[:hi+1]
 		}
 		deg[u]++
 		deg[v]++
@@ -77,9 +79,7 @@ func FromEdgeScanner(scan EdgeScan) (*Graph, error) {
 		return nil, fmt.Errorf("uncertain: %d edges exceed the CSR index range", edges)
 	}
 	if len(deg) < n {
-		grown := make([]int32, n)
-		copy(grown, deg)
-		deg = grown
+		deg = slices.Grow(deg, n-len(deg))[:n]
 	}
 
 	offsets := make([]int32, n+1)

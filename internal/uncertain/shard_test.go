@@ -216,3 +216,24 @@ func ExampleGraph_ShardByComponent() {
 	// 1 [1 4] 1
 	// 2 [3] 0
 }
+
+// TestFromEdgeScannerArrivalOrderAllocs feeds a 16,384-vertex path in
+// endpoint order — every edge raises the largest endpoint seen — and checks
+// that the degree array grows geometrically: O(log n) allocations per
+// build, not one per new endpoint.
+func TestFromEdgeScannerArrivalOrderAllocs(t *testing.T) {
+	const n = 1 << 14
+	edges := make([]Edge, n-1)
+	for i := range edges {
+		edges[i] = Edge{U: i, V: i + 1, P: 0.5}
+	}
+	scan := scanOf(-1, edges)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := FromEdgeScanner(scan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("FromEdgeScanner on an in-order %d-vertex path: %.0f allocs, want ≤ 64", n, allocs)
+	}
+}

@@ -50,16 +50,22 @@
 // (internal/bench) used by cmd/experiments.
 //
 // The dense-substructure extensions the paper's conclusion names as future
-// work share the same prepared-query ergonomics (extquery.go): maximal
-// α-bicliques (NewBicliqueQuery), expected γ-quasi-cliques (NewQuasiQuery),
-// (k,η)-trusses (NewTrussQuery), (k,η)-cores (NewCoreQuery), top-k
-// selection (Query.TopK) and incremental maintenance under edge updates
-// (NewMaintainer, whose SetEdgeContext/RemoveEdgeContext/Apply methods are
-// context-aware and report per-operation stats). Every query type validates
-// eagerly against the same typed sentinels, supports the applicable
-// cross-cutting options (WithLimit, WithBudget, per-miner knobs like
-// WithGamma and WithSides), and exposes Run/Collect/Count plus a Stream
-// range-over-func with the Query.Cliques break-stops-the-engine contract.
+// work run on the same prepared-query chassis as Query: maximal α-bicliques
+// (NewBicliqueQuery), expected γ-quasi-cliques (NewQuasiQuery),
+// (k,η)-trusses (NewTrussQuery), (k,η)-cores (NewCoreQuery), most-probable
+// densest subgraphs (NewDensestQuery) and k-center clusterings
+// (NewClusterQuery), alongside top-k selection (Query.TopK) and incremental
+// maintenance under edge updates (NewMaintainer, whose
+// SetEdgeContext/RemoveEdgeContext/Apply methods are context-aware and
+// report per-operation stats). The chassis (chassis.go, shard.go) owns
+// validation, admission, panic containment, the WithLimit bound, the run
+// methods and the component-sharded driver once; each query type adds only
+// a small per-miner adapter (mine one graph, remap a component's results,
+// fold stats, canonical order). So every query type validates eagerly
+// against the same typed sentinels, supports the applicable cross-cutting
+// options (WithLimit, WithBudget, per-miner knobs like WithGamma and
+// WithSides), and exposes Run/Collect/Count plus a Stream range-over-func
+// with the Query.Cliques break-stops-the-engine contract.
 // The original flat extension functions survive in extensions.go as
 // deprecated wrappers funneled through the same constructors.
 package mule

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -32,13 +31,10 @@ type Clique struct {
 // A Query is immutable after construction and safe for concurrent use; each
 // run is independent.
 type Query struct {
-	g         *Graph
-	alpha     float64
-	cfg       core.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p     prepared[Clique, Stats]
+	g     *Graph
+	alpha float64
+	cfg   core.Config
 }
 
 // queryKind is a bitmask naming the query surfaces an Option may configure.
@@ -260,95 +256,93 @@ func WithSides(minL, minR int) Option {
 	return Option{"WithSides", kindBiclique, func(o *queryOptions) { o.minL, o.minR = minL, minR }}
 }
 
-// newQuery is the single constructor behind NewQuery and every legacy
-// wrapper: all Query invariants — the WithLimit bound and the full
-// core.Validate contract — are enforced here, so no entry point can build
-// a Query that another would reject.
-func newQuery(g *Graph, alpha float64, cfg core.Config, limit int64) (*Query, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
-	if err := core.Validate(g, alpha, cfg); err != nil {
-		return nil, err
-	}
-	return &Query{g: g, alpha: alpha, cfg: cfg, limit: limit}, nil
-}
-
 // NewQuery prepares an enumeration of the α-maximal cliques of g. It
 // validates eagerly: a nil graph, an alpha outside (0,1], or an invalid
 // option combination is reported here (wrapping ErrNilGraph, ErrAlphaRange,
 // or ErrConfig), so every run method on the returned Query starts from a
 // well-formed question.
 func NewQuery(g *Graph, alpha float64, opts ...Option) (*Query, error) {
-	o, err := applyOptions(kindClique, opts)
+	o, p, err := prepare[Clique, Stats](kindClique, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newQuery(g, alpha, o.cfg, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
 	// The parallel engines submit their frames to the query's executor; the
 	// serial path never touches one.
-	q.cfg.Exec = ten.engineExec()
-	return q, nil
+	o.cfg.Exec = p.ten.engineExec()
+	return newQuery(g, alpha, o.cfg, p)
 }
 
 // newQueryFromConfig adapts a legacy Config to a Query; the deprecated
 // top-level functions funnel through it and inherit NewQuery's validation
 // through the shared constructor.
 func newQueryFromConfig(g *Graph, alpha float64, cfg Config) (*Query, error) {
-	return newQuery(g, alpha, cfg, 0)
+	return newQuery(g, alpha, cfg, prepared[Clique, Stats]{})
 }
 
-// run executes the query under its WithLimit bound, reporting whether the
-// user-supplied visitor ended the run early (as opposed to the limit doing
-// so). The closure flags are safe: the engines serialize visitor
-// invocations and the run's completion happens-after the last call.
-// Admission control gates the run before any search work; a rejected run
-// reports StatusFailed with an error wrapping ErrAdmission.
-func (q *Query) run(ctx context.Context, visit Visitor) (stats Stats, userStopped bool, err error) {
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
+// newQuery validates the engine config and installs the clique family
+// adapter: the MULE engines mine the whole graph or one component, and
+// cliques are remapped and copied out of the engines' reused buffers.
+func newQuery(g *Graph, alpha float64, cfg core.Config, p prepared[Clique, Stats]) (*Query, error) {
+	if err := core.Validate(g, alpha, cfg); err != nil {
+		return nil, err
 	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return Stats{Status: StatusFailed}, false, err
+	mineOn := func(ctx context.Context, g *Graph, budget int64, visit func(Clique) bool) (Stats, error) {
+		c := cfg
+		c.Budget = budget
+		return core.EnumerateContext(ctx, g, alpha, engineVisitor(visit), c)
 	}
-	defer release()
-	wrapped := visit
-	if q.limit > 0 {
-		remaining := q.limit
-		wrapped = func(c []int, p float64) bool {
-			if visit != nil && !visit(c, p) {
-				userStopped = true
-				return false
-			}
-			remaining--
-			return remaining > 0
-		}
-	} else if visit != nil {
-		wrapped = func(c []int, p float64) bool {
-			if !visit(c, p) {
-				userStopped = true
-				return false
-			}
-			return true
-		}
+	own := func(c Clique) Clique { return Clique{Vertices: append([]int(nil), c.Vertices...), Prob: c.Prob} }
+	p.budget = cfg.Budget
+	p.fam = family[Clique, Stats]{
+		mine: func(ctx context.Context, visit func(Clique) bool) (Stats, error) {
+			return mineOn(ctx, g, cfg.Budget, visit)
+		},
+		parts: componentParts(g, mineOn, func(c Clique, newToOld []int) Clique {
+			c = own(c)
+			remapIDs(c.Vertices, newToOld)
+			return c
+		}),
+		numParts: g.NumComponents,
+		// Work counters sum across components; depth and size take maxima.
+		fold: func(agg *Stats, s Stats) int64 {
+			agg.Calls += s.Calls
+			agg.Emitted += s.Emitted
+			agg.CandidateOps += s.CandidateOps
+			agg.WitnessOps += s.WitnessOps
+			agg.BitsetOps += s.BitsetOps
+			agg.PrunedEdges += s.PrunedEdges
+			agg.SizePruned += s.SizePruned
+			agg.FilterRemoved += s.FilterRemoved
+			agg.Steals += s.Steals
+			agg.Splits += s.Splits
+			agg.MaxDepth = max(agg.MaxDepth, s.MaxDepth)
+			agg.MaxCliqueSize = max(agg.MaxCliqueSize, s.MaxCliqueSize)
+			return s.Calls
+		},
+		tally: func(s *Stats) (*RunStatus, *int64) { return &s.Status, &s.Emitted },
+		own:   own,
+		sort: func(out []Clique) {
+			sort.Slice(out, func(i, j int) bool { return lexLess(out[i].Vertices, out[j].Vertices) })
+		},
 	}
-	stats, err = core.EnumerateContext(ctx, q.g, q.alpha, wrapped, q.cfg)
-	return stats, userStopped, err
+	return &Query{p: p, g: g, alpha: alpha, cfg: cfg}, nil
+}
+
+// cliqueVisitor adapts a clique Visitor to the chassis' one-result form,
+// and engineVisitor adapts back for the engines. Both keep nil as nil, so a
+// count-only run reaches the engines without a callback.
+func cliqueVisitor(visit Visitor) func(Clique) bool {
+	if visit == nil {
+		return nil
+	}
+	return func(c Clique) bool { return visit(c.Vertices, c.Prob) }
+}
+
+func engineVisitor(visit func(Clique) bool) Visitor {
+	if visit == nil {
+		return nil
+	}
+	return func(c []int, p float64) bool { return visit(Clique{Vertices: c, Prob: p}) }
 }
 
 // Run enumerates the query's cliques, invoking visit for each (visit may be
@@ -360,36 +354,19 @@ func (q *Query) run(ctx context.Context, visit Visitor) (stats Stats, userStoppe
 // abnormal case the returned Stats are valid for the work done up to the
 // stop, with Stats.Status recording the terminal state.
 func (q *Query) Run(ctx context.Context, visit Visitor) (Stats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.run(ctx, cliqueVisitor(visit))
 }
 
 // Collect materializes the query's cliques in canonical order: each vertex
 // set sorted ascending, cliques sorted lexicographically.
 func (q *Query) Collect(ctx context.Context) ([]Clique, error) {
-	var out []Clique
-	_, _, err := q.run(ctx, func(c []int, p float64) bool {
-		out = append(out, Clique{Vertices: append([]int(nil), c...), Prob: p})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return lexLess(out[i].Vertices, out[j].Vertices) })
-	return out, nil
+	return q.p.collect(ctx)
 }
 
 // Count returns the number of cliques the query enumerates, without
 // materializing them.
 func (q *Query) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
+	return q.p.count(ctx)
 }
 
 // TopK returns the k best cliques of the query under the given criterion
@@ -405,9 +382,9 @@ func (q *Query) TopK(ctx context.Context, k int, by TopKCriterion) ([]ScoredCliq
 	if err != nil {
 		return nil, err
 	}
-	full := *q
+	full := q.p
 	full.limit = 0
-	if _, err := full.Run(ctx, col.Visit); err != nil {
+	if _, err := full.run(ctx, cliqueVisitor(col.Visit)); err != nil {
 		return nil, err
 	}
 	return col.Drain(), nil
@@ -418,12 +395,13 @@ func (q *Query) TopK(ctx context.Context, k int, by TopKCriterion) ([]ScoredCliq
 // and WithBudget like every other run method; the parallel, ordering, and
 // WithLimit options do not apply to this search.
 func (q *Query) Maximum(ctx context.Context) ([]int, float64, error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer release()
-	return core.MaximumCliqueBudget(ctx, q.g, q.alpha, q.cfg.Budget)
+	var verts []int
+	var prob float64
+	_, err := q.p.ten.admitted(ctx, q.cfg.Budget, func() (err error) {
+		verts, prob, err = core.MaximumCliqueBudget(ctx, q.g, q.alpha, q.cfg.Budget)
+		return err
+	})
+	return verts, prob, err
 }
 
 // Cliques returns the query's cliques as a Go 1.23 range-over-func stream:
@@ -444,19 +422,7 @@ func (q *Query) Cliques(ctx context.Context) iter.Seq2[Clique, error] {
 	if q.cfg.Workers > 1 {
 		return q.cliquesParallel(ctx)
 	}
-	return func(yield func(Clique, error) bool) {
-		consumerDone := false
-		_, _, err := q.run(ctx, func(c []int, p float64) bool {
-			if !yield(Clique{Vertices: append([]int(nil), c...), Prob: p}, nil) {
-				consumerDone = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !consumerDone {
-			yield(Clique{}, err)
-		}
-	}
+	return q.p.stream(ctx)
 }
 
 // cliquesParallel bridges a parallel run to the consumer through a channel:
@@ -473,9 +439,9 @@ func (q *Query) cliquesParallel(ctx context.Context) iter.Seq2[Clique, error] {
 		errc := make(chan error, 1)
 		go func() {
 			ctxStopped := false
-			_, _, err := q.run(runCtx, func(c []int, p float64) bool {
+			_, _, err := q.p.execute(runCtx, func(c Clique) bool {
 				select {
-				case cliques <- Clique{Vertices: append([]int(nil), c...), Prob: p}:
+				case cliques <- q.p.owned(c):
 					return true
 				case <-runCtx.Done():
 					ctxStopped = true
@@ -506,17 +472,6 @@ func (q *Query) cliquesParallel(ctx context.Context) iter.Seq2[Clique, error] {
 			yield(Clique{}, err)
 		}
 	}
-}
-
-// panicToError converts a value recovered at a query-layer containment
-// boundary into the wrapped *PanicError the clique engines produce at
-// theirs, so every surface reports panics identically. A re-thrown
-// *PanicError (already converted below) passes through unchanged.
-func panicToError(v any) error {
-	if pe, ok := v.(*PanicError); ok {
-		return fmt.Errorf("mule: run aborted: %w", pe)
-	}
-	return fmt.Errorf("mule: run aborted: %w", core.NewPanicError(v, debug.Stack()))
 }
 
 // lexLess orders vertex sets lexicographically (canonical collection

@@ -6,15 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
 	"sync"
-
-	"github.com/uncertain-graphs/mule/internal/core"
-	"github.com/uncertain-graphs/mule/internal/ubiclique"
-	"github.com/uncertain-graphs/mule/internal/ucore"
-	"github.com/uncertain-graphs/mule/internal/udensest"
-	"github.com/uncertain-graphs/mule/internal/uquasi"
-	"github.com/uncertain-graphs/mule/internal/utruss"
 )
 
 // Component-sharded mining. No clique, biclique, quasi-clique, truss edge,
@@ -91,14 +83,6 @@ func (o *queryOptions) shardPlan() (int, error) {
 	return o.shards, nil
 }
 
-// resolveShards turns a configured shard count into a concrete concurrency.
-func resolveShards(n int) int {
-	if n == shardsAuto {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // statusForError maps a sharded run's terminal error to the RunStatus an
 // unsharded engine would have recorded for the same cause.
 func statusForError(err error) RunStatus {
@@ -118,38 +102,28 @@ func statusForError(err error) RunStatus {
 	}
 }
 
-// shardTask is one component's unit of work in a sharded run: mine the
-// component and return its buffered results, already remapped to parent
-// vertex IDs. IDs must be consecutive from 0 in yield order (the contract
-// of ShardByComponent).
-type shardTask[T any] struct {
-	id  int
-	run func(context.Context) ([]T, error)
-}
-
-// runShardTask executes one task with per-shard panic containment: a panic
-// inside one component's engine run (or result remapping) becomes that
-// task's error instead of unwinding the whole process.
-func runShardTask[T any](ctx context.Context, t shardTask[T]) (out []T, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			out, err = nil, panicToError(v)
-		}
-	}()
-	return t.run(ctx)
-}
-
-// driveShards runs tasks with at most conc in flight, calling deliver with
-// each task's results in task-ID order on the calling goroutine. deliver
-// returning false stops the run (a nil error outcome); a task error cancels
-// the remaining tasks and is returned — the lowest-ID error when several
-// fail. Tasks are pulled from the iterator lazily, so at most about conc+1
-// component subgraphs exist at any moment, and every goroutine is joined
-// before the call returns on all paths, including a deliver panic.
-func driveShards[T any](ctx context.Context, tasks iter.Seq[shardTask[T]], conc int, deliver func([]T) bool) error {
+// driveShards mines parts with at most conc in flight, calling deliver
+// with each part's results in part-ID order on the calling goroutine. Part
+// IDs must be consecutive from 0 in yield order (the contract of
+// ShardByComponent). run executes inside the query layer's panic boundary,
+// so a panic in one component's engine run or result remap becomes that
+// part's error instead of unwinding the process. deliver returning false
+// stops the run (a nil error outcome); a part error cancels the remaining
+// parts and is returned — the lowest-ID error when several fail. Parts are
+// pulled from the iterator lazily, so at most about conc+1 component
+// subgraphs exist at any moment, and every goroutine is joined before the
+// call returns on all paths, including a deliver panic.
+func driveShards[T, S any](ctx context.Context, parts iter.Seq[part[T, S]], conc int, run func(context.Context, part[T, S]) ([]T, error), deliver func([]T) bool) error {
+	runPart := func(ctx context.Context, pt part[T, S]) (out []T, err error) {
+		err = contain(func() (err error) {
+			out, err = run(ctx, pt)
+			return err
+		})
+		return out, err
+	}
 	if conc <= 1 {
-		for t := range tasks {
-			out, err := runShardTask(ctx, t)
+		for pt := range parts {
+			out, err := runPart(ctx, pt)
 			if err != nil {
 				return err
 			}
@@ -166,16 +140,16 @@ func driveShards[T any](ctx context.Context, tasks iter.Seq[shardTask[T]], conc 
 		out []T
 		err error
 	}
-	taskCh := make(chan shardTask[T])
+	partCh := make(chan part[T, S])
 	feederDone := make(chan struct{})
 	go func() {
 		// The feeder advances the shard iterator only when a worker is
 		// ready, keeping the number of materialized component CSRs bounded.
 		defer close(feederDone)
-		defer close(taskCh)
-		for t := range tasks {
+		defer close(partCh)
+		for pt := range parts {
 			select {
-			case taskCh <- t:
+			case partCh <- pt:
 			case <-cctx.Done():
 				return
 			}
@@ -187,10 +161,10 @@ func driveShards[T any](ctx context.Context, tasks iter.Seq[shardTask[T]], conc 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range taskCh {
-				out, err := runShardTask(cctx, t)
+			for pt := range partCh {
+				out, err := runPart(cctx, pt)
 				select {
-				case resCh <- result{t.id, out, err}:
+				case resCh <- result{pt.id, out, err}:
 				case <-cctx.Done():
 					return
 				}
@@ -211,7 +185,7 @@ func driveShards[T any](ctx context.Context, tasks iter.Seq[shardTask[T]], conc 
 		<-feederDone
 	}()
 
-	// Reorder completions into task-ID order before delivery. IDs are
+	// Reorder completions into part-ID order before delivery. IDs are
 	// consecutive from 0, so a single cursor suffices.
 	pending := make(map[int]result)
 	next := 0
@@ -243,10 +217,11 @@ func driveShards[T any](ctx context.Context, tasks iter.Seq[shardTask[T]], conc 
 	return firstErr
 }
 
-// shardDelivery is the shared delivery-side state of a sharded run: the
-// emitted counter, the WithLimit bound, the user-stop flag, and the
-// progress callback.
-type shardDelivery struct {
+// shardDelivery is the delivery-side state of a sharded run: the visitor,
+// the emitted counter, the WithLimit bound, the user-stop flag, and the
+// progress callback. It lives on the run's calling goroutine.
+type shardDelivery[T any] struct {
+	visit       func(T) bool
 	limit       int64
 	delivered   int64
 	userStopped bool
@@ -254,20 +229,13 @@ type shardDelivery struct {
 	progress    func(done, total int)
 }
 
-// begin fires the initial progress callback.
-func (d *shardDelivery) begin(total int) {
-	if d.progress != nil {
-		d.total = total
-		d.progress(0, total)
-	}
-}
-
-// emit counts one result before handing it to visit (a result that reaches
-// the visitor is emitted even if it stops the run, matching every engine)
-// and applies the WithLimit bound. It reports whether the run continues.
-func (d *shardDelivery) emit(visit func() bool) bool {
+// emit counts one result before handing it to the visitor (a result that
+// reaches the visitor is emitted even if it stops the run, matching every
+// engine) and applies the WithLimit bound. It reports whether the run
+// continues.
+func (d *shardDelivery[T]) emit(v T) bool {
 	d.delivered++
-	if !visit() {
+	if d.visit != nil && !d.visit(v) {
 		d.userStopped = true
 		return false
 	}
@@ -275,17 +243,17 @@ func (d *shardDelivery) emit(visit func() bool) bool {
 }
 
 // shardDone fires the per-component progress callback.
-func (d *shardDelivery) shardDone() {
+func (d *shardDelivery[T]) shardDone() {
 	d.done++
 	if d.progress != nil {
 		d.progress(d.done, d.total)
 	}
 }
 
-// finish translates the drive's outcome into the run's (status, error)
-// pair: errors keep the cause's status, an early stop (user or limit) is
+// finish translates the run's outcome into its (status, error) pair:
+// errors keep the cause's status, an early stop (user or limit) is
 // StatusStopped, anything else completed.
-func (d *shardDelivery) finish(err error) (RunStatus, error) {
+func (d *shardDelivery[T]) finish(err error) (RunStatus, error) {
 	if err != nil {
 		return statusForError(err), err
 	}
@@ -295,550 +263,91 @@ func (d *shardDelivery) finish(err error) (RunStatus, error) {
 	return StatusComplete, nil
 }
 
-// --- Clique queries ---
-
-// runSharded executes a clique query component by component; see WithShards
-// for the contract. Stats counters are folded across the per-component
-// engine runs (sums for work counters, maxima for depth and size).
-func (q *Query) runSharded(ctx context.Context, visit Visitor) (stats Stats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats, userStopped, err = Stats{Status: StatusPanicked}, false, panicToError(v)
-		}
-	}()
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return Stats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
+// runSharded executes a query component by component; see WithShards for
+// the contract. Each component is mined as its own engine run, its stats
+// folded into the aggregate under a lock (components run concurrently), its
+// results remapped to parent vertex IDs. A streamed family then delivers
+// each component's results in component order. A merged family mines
+// every component to completion and reports the combined results after its
+// global pass, so the report loop — and therefore WithLimit and visitor
+// stops — behaves exactly like an unsharded run.
+func (p *prepared[T, S]) runSharded(ctx context.Context, visit func(T) bool) (S, bool, error) {
+	var (
+		mu        sync.Mutex
+		agg       S
+		remaining = p.budget // written only on the sequential path
+	)
+	conc := p.shards
+	switch {
+	case p.budget > 0:
 		conc = 1 // budget handoff needs each component's actual spend, in order
+	case conc == shardsAuto:
+		conc = runtime.GOMAXPROCS(0)
 	}
-	countOnly := visit == nil && q.limit <= 0
+	merged := p.fam.global != nil
+	countOnly := !merged && visit == nil && p.limit <= 0
 
-	var (
-		mu        sync.Mutex
-		agg       Stats
-		remaining = q.cfg.Budget // written only on the sequential path
-	)
-	fold := func(s Stats) {
-		mu.Lock()
-		agg.Calls += s.Calls
-		agg.Emitted += s.Emitted
-		agg.CandidateOps += s.CandidateOps
-		agg.WitnessOps += s.WitnessOps
-		agg.BitsetOps += s.BitsetOps
-		agg.PrunedEdges += s.PrunedEdges
-		agg.SizePruned += s.SizePruned
-		agg.FilterRemoved += s.FilterRemoved
-		agg.Steals += s.Steals
-		agg.Splits += s.Splits
-		agg.MaxDepth = max(agg.MaxDepth, s.MaxDepth)
-		agg.MaxCliqueSize = max(agg.MaxCliqueSize, s.MaxCliqueSize)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[Clique]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[Clique]{id: sh.ID, run: func(runCtx context.Context) ([]Clique, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit Visitor
-				var buf []Clique
-				if !countOnly {
-					engineVisit = func(c []int, p float64) bool {
-						mapped := make([]int, len(c))
-						for i, v := range c {
-							mapped[i] = sh.NewToOld[v]
-						}
-						buf = append(buf, Clique{Vertices: mapped, Prob: p})
-						// No component needs to yield more results than the
-						// global limit keeps; stop its engine there.
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := core.EnumerateContext(runCtx, sh.G, q.alpha, engineVisit, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Calls
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
+	mine := func(ctx context.Context, pt part[T, S]) ([]T, error) {
+		budget := p.budget
+		if budget > 0 {
+			if remaining <= 0 {
+				return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", pt.id, ErrBudget)
+			}
+			budget = remaining
+		}
+		var buf []T
+		var keep func(T) bool
+		if !countOnly {
+			keep = func(v T) bool {
+				buf = append(buf, pt.remap(v))
+				// No component of a streamed run needs to yield more
+				// results than the global limit keeps; stop its engine
+				// there.
+				return merged || p.limit <= 0 || int64(len(buf)) < p.limit
 			}
 		}
+		s, err := pt.mine(ctx, budget, keep)
+		mu.Lock()
+		spent := p.fam.fold(&agg, s)
+		mu.Unlock()
+		if p.budget > 0 {
+			remaining -= spent
+		}
+		return buf, err
 	}
 
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
+	d := shardDelivery[T]{visit: visit, limit: p.limit, progress: p.shardProg}
+	if d.progress != nil {
+		d.total = p.fam.numParts()
+		d.progress(0, d.total)
 	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []Clique) bool {
-		for _, c := range out {
-			if !d.emit(func() bool { return visit == nil || visit(c.Vertices, c.Prob) }) {
-				return false
+	var all []T
+	err := driveShards(ctx, p.fam.parts, conc, mine, func(out []T) bool {
+		if merged {
+			all = append(all, out...)
+		} else {
+			for _, v := range out {
+				if !d.emit(v) {
+					return false
+				}
 			}
 		}
 		d.shardDone()
 		return true
 	})
-	agg.Status, err = d.finish(driveErr)
+	if merged && err == nil {
+		if err = p.fam.global(ctx, all, &agg); err == nil {
+			for _, v := range all {
+				if !d.emit(v) {
+					break
+				}
+			}
+		}
+	}
+	status, emitted := p.fam.tally(&agg)
+	*status, err = d.finish(err)
 	if !countOnly {
-		agg.Emitted = d.delivered
-	}
-	return agg, d.userStopped, err
-}
-
-// --- Biclique queries ---
-
-func (q *BicliqueQuery) runSharded(ctx context.Context, visit BicliqueVisitor) (stats BicliqueStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return BicliqueStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-	countOnly := visit == nil && q.limit <= 0
-
-	var (
-		mu        sync.Mutex
-		agg       BicliqueStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s BicliqueStats) {
-		mu.Lock()
-		agg.Calls += s.Calls
-		agg.Emitted += s.Emitted
-		agg.Cut += s.Cut
-		agg.CandidateOps += s.CandidateOps
-		agg.WitnessOps += s.WitnessOps
-		agg.PrunedEdges += s.PrunedEdges
-		agg.MaxLeft = max(agg.MaxLeft, s.MaxLeft)
-		agg.MaxRight = max(agg.MaxRight, s.MaxRight)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[Biclique]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[Biclique]{id: sh.ID, run: func(runCtx context.Context) ([]Biclique, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit ubiclique.Visitor
-				var buf []Biclique
-				if !countOnly {
-					engineVisit = func(l, r []int, p float64) bool {
-						ml := make([]int, len(l))
-						for i, v := range l {
-							ml[i] = sh.LeftNewToOld[v]
-						}
-						mr := make([]int, len(r))
-						for i, v := range r {
-							mr[i] = sh.RightNewToOld[v]
-						}
-						buf = append(buf, Biclique{Left: ml, Right: mr, Prob: p})
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := ubiclique.EnumerateContext(runCtx, sh.G, q.alpha, engineVisit, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Calls
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []Biclique) bool {
-		for _, b := range out {
-			if !d.emit(func() bool { return visit == nil || visit(b.Left, b.Right, b.Prob) }) {
-				return false
-			}
-		}
-		d.shardDone()
-		return true
-	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
-	}
-	return agg, d.userStopped, err
-}
-
-// --- Quasi-clique queries ---
-
-// runSharded mines every component to completion (maximality needs the
-// whole component; components are independent because γ ≥ ½ forces a
-// quasi-clique's diameter ≤ 2, hence connectivity), then reports the merged
-// sets in global canonical order, so the report loop — and therefore
-// WithLimit and visitor stops — behaves exactly like an unsharded run.
-func (q *QuasiQuery) runSharded(ctx context.Context, visit QuasiVisitor) (stats QuasiStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return QuasiStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		agg       QuasiStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s QuasiStats) {
-		mu.Lock()
-		agg.Calls += s.Calls
-		agg.Found += s.Found
-		agg.Pruned += s.Pruned
-		agg.Universe += s.Universe
-		agg.FilterOps += s.FilterOps
-		agg.MaxSize = max(agg.MaxSize, s.MaxSize)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[[]int]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[[]int]{id: sh.ID, run: func(runCtx context.Context) ([][]int, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				sets, s, err := uquasi.CollectContext(runCtx, sh.G, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Calls
-				}
-				for _, set := range sets {
-					for i, v := range set {
-						set[i] = sh.NewToOld[v]
-					}
-				}
-				return sets, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	var all [][]int
-	driveErr := driveShards(ctx, tasks, conc, func(out [][]int) bool {
-		all = append(all, out...)
-		d.shardDone()
-		return true
-	})
-	if driveErr != nil {
-		agg.Status = statusForError(driveErr)
-		return agg, false, driveErr
-	}
-	// Per-component sets are each in canonical order, but the report loop's
-	// contract is global lexicographic order; merge before reporting.
-	sort.Slice(all, func(i, j int) bool { return lexLess(all[i], all[j]) })
-	for _, s := range all {
-		if !d.emit(func() bool { return visit == nil || visit(s) }) {
-			break
-		}
-	}
-	agg.Status, err = d.finish(nil)
-	agg.Emitted = d.delivered
-	return agg, d.userStopped, err
-}
-
-// --- Truss queries ---
-
-// runSharded peels each component independently. Stream order becomes
-// per-component peel order rather than the global level-by-level order, but
-// the edge→truss assignment — and hence Collect, Count, and MaxTruss — is
-// identical: a component's peeling never depends on edges outside it.
-func (q *TrussQuery) runSharded(ctx context.Context, visit TrussVisitor) (stats TrussStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return TrussStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-	countOnly := visit == nil && q.limit <= 0
-
-	var (
-		mu        sync.Mutex
-		agg       TrussStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s TrussStats) {
-		mu.Lock()
-		agg.Checks += s.Checks
-		agg.Removed += s.Removed
-		agg.Emitted += s.Emitted
-		agg.MaxTruss = max(agg.MaxTruss, s.MaxTruss)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[EdgeTruss]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[EdgeTruss]{id: sh.ID, run: func(runCtx context.Context) ([]EdgeTruss, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit utruss.Visitor
-				var buf []EdgeTruss
-				if !countOnly {
-					engineVisit = func(e EdgeTruss) bool {
-						// The remap is monotone, so U < V survives it.
-						buf = append(buf, EdgeTruss{U: sh.NewToOld[e.U], V: sh.NewToOld[e.V], Truss: e.Truss})
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := utruss.RunContext(runCtx, sh.G, q.eta, cfg, engineVisit)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Checks
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []EdgeTruss) bool {
-		for _, e := range out {
-			if !d.emit(func() bool { return visit == nil || visit(e) }) {
-				return false
-			}
-		}
-		d.shardDone()
-		return true
-	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
-	}
-	return agg, d.userStopped, err
-}
-
-// --- Densest queries ---
-
-// runSharded peels every component independently (the engine's candidate
-// family is defined per component, so the peel phase shards exactly), then
-// runs one global scoring pass — the score threshold d̂ is a whole-family
-// property — and reports the merged family in canonical order, so the
-// report loop behaves exactly like an unsharded run.
-func (q *DensestQuery) runSharded(ctx context.Context, visit DensestVisitor) (stats DensestStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return DensestStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		agg       DensestStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s DensestStats) {
-		mu.Lock()
-		agg.PeelSteps += s.PeelSteps
-		agg.Candidates += s.Candidates
-		if s.BestDensity > agg.BestDensity {
-			agg.BestDensity = s.BestDensity
-		}
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[DenseSubgraph]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[DenseSubgraph]{id: sh.ID, run: func(runCtx context.Context) ([]DenseSubgraph, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				cands, s, err := udensest.PeelContext(runCtx, sh.G, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.PeelSteps
-				}
-				for _, c := range cands {
-					// The remap is monotone, so the sets stay ascending.
-					for i, v := range c.Vertices {
-						c.Vertices[i] = sh.NewToOld[v]
-					}
-				}
-				return cands, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	var all []DenseSubgraph
-	driveErr := driveShards(ctx, tasks, conc, func(out []DenseSubgraph) bool {
-		all = append(all, out...)
-		d.shardDone()
-		return true
-	})
-	if driveErr != nil {
-		agg.Status = statusForError(driveErr)
-		return agg, false, driveErr
-	}
-	// One global scoring pass against the whole-family champion density; a
-	// component's internal edges are the same set in the parent graph, so
-	// scoring against q.g reproduces the unsharded probabilities exactly.
-	sstats, err := udensest.ScoreContext(ctx, q.g, all, udensest.BestDensity(all), q.cfg)
-	agg.Scored += sstats.Scored
-	if err != nil {
-		agg.Status = statusForError(err)
-		return agg, false, err
-	}
-	udensest.SortCandidates(all)
-	for _, c := range all {
-		if !d.emit(func() bool { return visit == nil || visit(c) }) {
-			break
-		}
-	}
-	agg.Status, err = d.finish(nil)
-	agg.Emitted = d.delivered
-	return agg, d.userStopped, err
-}
-
-// --- Core queries ---
-
-// runSharded peels each component independently; like truss queries, only
-// stream order changes (per-component peel order), never the vertex→core
-// assignment, Collect, Count, or the folded degeneracy.
-func (q *CoreQuery) runSharded(ctx context.Context, visit CoreVisitor) (stats CoreStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return CoreStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-	countOnly := visit == nil && q.limit <= 0
-
-	var (
-		mu        sync.Mutex
-		agg       CoreStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s CoreStats) {
-		mu.Lock()
-		agg.Recomputes += s.Recomputes
-		agg.Emitted += s.Emitted
-		agg.Degeneracy = max(agg.Degeneracy, s.Degeneracy)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[VertexCore]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[VertexCore]{id: sh.ID, run: func(runCtx context.Context) ([]VertexCore, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit ucore.Visitor
-				var buf []VertexCore
-				if !countOnly {
-					engineVisit = func(vc VertexCore) bool {
-						buf = append(buf, VertexCore{V: sh.NewToOld[vc.V], Core: vc.Core})
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := ucore.RunContext(runCtx, sh.G, q.eta, cfg, engineVisit)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Recomputes
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []VertexCore) bool {
-		for _, vc := range out {
-			if !d.emit(func() bool { return visit == nil || visit(vc) }) {
-				return false
-			}
-		}
-		d.shardDone()
-		return true
-	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
+		*emitted = d.delivered
 	}
 	return agg, d.userStopped, err
 }

@@ -165,23 +165,27 @@ func (t tenancy) engineExec() *exec.Executor {
 	return nil
 }
 
-// admit gates one run through admission control, returning a release
-// function to defer (never nil). Queries with neither an executor nor a
-// tenant skip admission at zero cost; a tenant without an executor is
-// accounted on the DefaultExecutor. On rejection the error wraps
-// ErrAdmission (or the context error, for cancel-while-queued); a WithRetry
-// policy retries rejections with backoff before giving up.
-func (t tenancy) admit(ctx context.Context, budget int64) (func(), error) {
-	if t.ex == nil && t.tenant == "" {
-		return func() {}, nil
-	}
-	x := t.engineExec()
-	if x == nil {
-		x = exec.Default()
-	}
-	release, err := x.AdmitWithRetry(ctx, t.tenant, budget, t.retry)
-	if err != nil {
-		return nil, fmt.Errorf("mule: %w", err)
-	}
-	return release, nil
+// admitted runs fn as one admitted, panic-contained run. Queries with
+// neither an executor nor a tenant skip admission at zero cost; a tenant
+// without an executor is accounted on the DefaultExecutor. A rejection —
+// after any WithRetry backoff — wraps ErrAdmission (or the context error,
+// for cancel-while-queued) and fn never runs; otherwise the admission slot
+// is released when fn returns. admitted reports whether fn ran.
+func (t tenancy) admitted(ctx context.Context, budget int64, fn func() error) (ran bool, err error) {
+	err = contain(func() error {
+		if t.ex != nil || t.tenant != "" {
+			x := t.engineExec()
+			if x == nil {
+				x = exec.Default()
+			}
+			release, err := x.AdmitWithRetry(ctx, t.tenant, budget, t.retry)
+			if err != nil {
+				return fmt.Errorf("mule: %w", err)
+			}
+			defer release()
+		}
+		ran = true
+		return fn()
+	})
+	return ran, err
 }
