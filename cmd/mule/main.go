@@ -301,7 +301,7 @@ func forEachBatch(m modeFlags, fn func(g *mule.Graph, toGlobal func(int) int) er
 		if err != nil {
 			return err
 		}
-		return fn(g, func(v int) int { return v })
+		return fn(g, identity)
 	}
 	return graphio.ScanComponentBatches(m.in, m.shardBatch, func(batch *mule.Graph, newToOld []int) error {
 		return fn(batch, func(v int) int { return newToOld[v] })
@@ -374,6 +374,7 @@ func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect st
 	start := time.Now()
 	w := bufio.NewWriter(out)
 	defer w.Flush()
+	lw := newLineWriter(w)
 
 	if top > 0 {
 		g, err := graphio.LoadFile(m.in)
@@ -389,7 +390,7 @@ func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect st
 			return terr
 		}
 		for _, sc := range scored {
-			printClique(w, sc.Vertices, sc.Prob)
+			printClique(lw, sc.Vertices, sc.Prob, identity)
 		}
 		if !m.quiet {
 			fmt.Fprintf(os.Stderr, "top-%d of α=%g maximal cliques in %s (n=%d m=%d)\n",
@@ -408,13 +409,8 @@ func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect st
 		}
 		var visit mule.Visitor
 		if !m.countOnly {
-			var buf []int
 			visit = func(c []int, p float64) bool {
-				buf = buf[:0]
-				for _, v := range c {
-					buf = append(buf, toGlobal(v))
-				}
-				printClique(w, buf, p)
+				printClique(lw, c, p, toGlobal)
 				return true
 			}
 		}
@@ -471,19 +467,18 @@ func runBicliques(ctx context.Context, m modeFlags, out io.Writer) error {
 	defer w.Flush()
 	var visit mule.BicliqueVisitor
 	if !m.countOnly {
+		lw := newLineWriter(w)
 		visit = func(left, right []int, p float64) bool {
-			fmt.Fprintf(w, "%.9g\t", p)
-			for i, v := range left {
-				if i > 0 {
-					w.WriteByte(' ')
-				}
-				fmt.Fprintf(w, "%d", v)
-			}
-			w.WriteString(" |")
+			lw.prob(p)
+			lw.sep('\t')
+			lw.ints(left, identity)
+			lw.sep(' ')
+			lw.sep('|')
 			for _, v := range right {
-				fmt.Fprintf(w, " %d", v)
+				lw.sep(' ')
+				lw.int(v)
 			}
-			w.WriteByte('\n')
+			lw.end()
 			return true
 		}
 	}
@@ -506,6 +501,7 @@ func runQuasi(ctx context.Context, m modeFlags, out io.Writer) error {
 	start := time.Now()
 	w := bufio.NewWriter(out)
 	defer w.Flush()
+	lw := newLineWriter(w)
 	var agg mule.QuasiStats
 	agg.Status = mule.StatusComplete
 	bud := newBatchBudget(m)
@@ -522,13 +518,8 @@ func runQuasi(ctx context.Context, m modeFlags, out io.Writer) error {
 		var visit mule.QuasiVisitor
 		if !m.countOnly {
 			visit = func(set []int) bool {
-				for i, v := range set {
-					if i > 0 {
-						w.WriteByte(' ')
-					}
-					fmt.Fprintf(w, "%d", toGlobal(v))
-				}
-				w.WriteByte('\n')
+				lw.ints(set, toGlobal)
+				lw.end()
 				return true
 			}
 		}
@@ -570,6 +561,7 @@ func runTruss(ctx context.Context, m modeFlags, out io.Writer) error {
 	start := time.Now()
 	w := bufio.NewWriter(out)
 	defer w.Flush()
+	lw := newLineWriter(w)
 	if m.k > 0 {
 		g, err := graphio.LoadFile(m.in)
 		if err != nil {
@@ -594,7 +586,12 @@ func runTruss(ctx context.Context, m modeFlags, out io.Writer) error {
 				if m.limit > 0 && int64(i) >= m.limit {
 					break
 				}
-				fmt.Fprintf(w, "%d %d %.9g\n", e.U, e.V, e.P)
+				lw.int(e.U)
+				lw.sep(' ')
+				lw.int(e.V)
+				lw.sep(' ')
+				lw.prob(e.P)
+				lw.end()
 			}
 		}
 		if !m.quiet {
@@ -619,7 +616,12 @@ func runTruss(ctx context.Context, m modeFlags, out io.Writer) error {
 			// The batch-local → global mapping is monotone, so U < V holds
 			// after remapping too.
 			visit = func(e mule.EdgeTruss) bool {
-				fmt.Fprintf(w, "%d %d %d\n", toGlobal(e.U), toGlobal(e.V), e.Truss)
+				lw.int(toGlobal(e.U))
+				lw.sep(' ')
+				lw.int(toGlobal(e.V))
+				lw.sep(' ')
+				lw.int(e.Truss)
+				lw.end()
 				return true
 			}
 		}
@@ -660,6 +662,7 @@ func runCore(ctx context.Context, m modeFlags, out io.Writer) error {
 	start := time.Now()
 	w := bufio.NewWriter(out)
 	defer w.Flush()
+	lw := newLineWriter(w)
 	if m.k > 0 {
 		g, err := graphio.LoadFile(m.in)
 		if err != nil {
@@ -684,7 +687,8 @@ func runCore(ctx context.Context, m modeFlags, out io.Writer) error {
 				if m.limit > 0 && int64(i) >= m.limit {
 					break
 				}
-				fmt.Fprintf(w, "%d\n", v)
+				lw.int(v)
+				lw.end()
 			}
 		}
 		if !m.quiet {
@@ -707,7 +711,10 @@ func runCore(ctx context.Context, m modeFlags, out io.Writer) error {
 		var visit mule.CoreVisitor
 		if !m.countOnly {
 			visit = func(vc mule.VertexCore) bool {
-				fmt.Fprintf(w, "%d %d\n", toGlobal(vc.V), vc.Core)
+				lw.int(toGlobal(vc.V))
+				lw.sep(' ')
+				lw.int(vc.Core)
+				lw.end()
 				return true
 			}
 		}
@@ -763,15 +770,14 @@ func runDensest(ctx context.Context, m modeFlags, out io.Writer) error {
 	defer w.Flush()
 	var visit mule.DensestVisitor
 	if !m.countOnly {
+		lw := newLineWriter(w)
 		visit = func(c mule.DenseSubgraph) bool {
-			fmt.Fprintf(w, "%.9g\t%.9g\t", c.Probability, c.ExpectedDensity)
-			for i, v := range c.Vertices {
-				if i > 0 {
-					w.WriteByte(' ')
-				}
-				fmt.Fprintf(w, "%d", v)
-			}
-			w.WriteByte('\n')
+			lw.prob(c.Probability)
+			lw.sep('\t')
+			lw.prob(c.ExpectedDensity)
+			lw.sep('\t')
+			lw.ints(c.Vertices, identity)
+			lw.end()
 			return true
 		}
 	}
@@ -813,15 +819,14 @@ func runCluster(ctx context.Context, m modeFlags, out io.Writer) error {
 	defer w.Flush()
 	var visit mule.ClusterVisitor
 	if !m.countOnly {
+		lw := newLineWriter(w)
 		visit = func(c mule.ClusterSet) bool {
-			fmt.Fprintf(w, "%.9g\t%d\t", c.Probability, c.Center)
-			for i, v := range c.Members {
-				if i > 0 {
-					w.WriteByte(' ')
-				}
-				fmt.Fprintf(w, "%d", v)
-			}
-			w.WriteByte('\n')
+			lw.prob(c.Probability)
+			lw.sep('\t')
+			lw.int(c.Center)
+			lw.sep('\t')
+			lw.ints(c.Members, identity)
+			lw.end()
 			return true
 		}
 	}
@@ -853,17 +858,6 @@ func writeMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC() // materialize the steady-state picture, not transient garbage
 	return pprof.WriteHeapProfile(f)
-}
-
-func printClique(w *bufio.Writer, c []int, p float64) {
-	fmt.Fprintf(w, "%.9g\t", p)
-	for i, v := range c {
-		if i > 0 {
-			w.WriteByte(' ')
-		}
-		fmt.Fprintf(w, "%d", v)
-	}
-	w.WriteByte('\n')
 }
 
 func parseEngine(s string) (mule.ParallelMode, error) {

@@ -106,19 +106,32 @@ func (e *enumerator) releasePooled() {
 	}
 }
 
-// runSerial performs Algorithm 1: initialize Î with every vertex paired with
-// multiplier 1 (a singleton is a clique with probability 1) and recurse. The
-// root candidate and witness sets live in the arena like every other node's.
+// runSerial performs Algorithm 1. The root node has C = ∅ and Î = every
+// vertex with multiplier 1 (a singleton is a clique with probability 1), so
+// its GenerateI/GenerateX for a top-level vertex u reduce to u's α-filtered
+// neighbors above and below u, which branch reads straight off u's
+// adjacency row. runSerial accounts the root node once (node count, abort
+// poll, invariant check) and then runs branch for every vertex in ascending
+// order — the same step the top-level parallel driver hands its seats.
 func (e *enumerator) runSerial() {
-	n := e.g.NumVertices()
-	m := e.arena.mark()
-	rootI := e.arena.alloc(n)
-	for v := 0; v < n; v++ {
-		rootI = rootI.push(int32(v), 1)
+	if e.countNode() {
+		return
 	}
-	rootX := e.arena.alloc(n) // filled by the root loop's witness pushes
-	e.recurse(e.cbuf[:0], 1, rootI, rootX)
-	e.arena.release(m)
+	n := e.g.NumVertices()
+	if e.checkInv {
+		// The root I is materialized only for the checker; the search never
+		// reads it.
+		m := e.arena.mark()
+		rootI := e.arena.alloc(n)
+		for v := 0; v < n; v++ {
+			rootI = rootI.push(int32(v), 1)
+		}
+		e.verifyInvariants(e.cbuf[:0], 1, rootI, entrySet{})
+		e.arena.release(m)
+	}
+	for u := 0; u < n && !e.stopped; u++ {
+		e.branch(int32(u))
+	}
 }
 
 // recurse is Enum-Uncertain-MC (Algorithm 2), with the |C'|+|I'| < t cut of

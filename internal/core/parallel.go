@@ -17,9 +17,10 @@ import (
 //
 // Soundness: at the root C = ∅, the branch for vertex u receives
 // I_u = {(w, p(u,w)) : w ∈ Γ(u), w > u, p(u,w) ≥ α} and
-// X_u = {(x, p(u,x)) : x ∈ Γ(u), x < u, p(u,x) ≥ α}, both of which depend
-// only on u — not on how much of the loop has already run — because the
-// root's X accumulates exactly the vertices smaller than u. Top-level
+// X_u = {(x, p(u,x)) : x ∈ Γ(u), x < u, p(u,x) ≥ α} (under LARGE-MULE,
+// minus the x whose own branch is size-pruned), both of which depend only on
+// u — not on how much of the loop has already run — because the root's X
+// accumulates exactly the unpruned vertices smaller than u. Top-level
 // subtrees are therefore mutually independent and can run concurrently;
 // every deeper level keeps the sequential left-to-right dependency through
 // X and stays inside one seat.
@@ -106,29 +107,31 @@ func (e *enumerator) runTopLevel(x *exec.Executor, workers int) {
 		l.e.releasePooled()
 	}
 	e.stopped = e.ctl.stop.Load()
-	// The root call itself is accounted once, as in the serial driver.
+	// The root node itself is accounted once, as in runSerial.
 	e.stats.Calls++
 }
 
-// branch runs the top-level iteration for vertex u: it reproduces exactly
-// the state the serial loop would pass to the recursive call for u. Like
-// the serial driver, it builds I and X in the worker's arena — the row is
-// sorted, so neighbors < u (the witnesses) form the prefix and neighbors
-// > u (the candidates) the suffix.
+// branch is one iteration of Algorithm 1's root loop: the subtree of
+// cliques whose smallest vertex is u. It is the serial driver's loop body
+// (runSerial) and the unit of work the top-level driver's seats pull off
+// their counter. At the root C = ∅ and every multiplier is 1, so
+// GenerateI/GenerateX against the root sets reduce to filtering u's own
+// adjacency row by α: the row is sorted, so neighbors > u (the candidates)
+// form its suffix and neighbors < u (the witnesses) its prefix. Both sets
+// live in the enumerator's arena.
+//
+// Under LARGE-MULE the size cut runs before X is built, as in recurse, and
+// the witness prefix leaves out every w whose own root iteration was
+// size-pruned, because recurse never pushes a pruned candidate onto X. The
+// branch thus depends only on u, not on how much of the loop already ran,
+// and its Stats match the recursion's root loop field for field.
 func (e *enumerator) branch(u int32) {
 	row, probs := e.g.Adjacency(int(u))
 	irow, iprobs := e.g.AdjacencySuffix(int(u), u)
 	k := len(row) - len(irow) // witnesses: row[:k]
 
 	m := e.arena.mark()
-	// X holds ≤ k filtered witnesses plus ≤ len(irow) pushes from the
-	// recursion's loop, so the full row length bounds its capacity.
-	X := e.arena.alloc(len(row))
-	for i := 0; i < k; i++ {
-		if p := probs[i]; p >= e.alpha {
-			X = X.push(row[i], p)
-		}
-	}
+	// The p < α skips below are only reachable with SkipPrune.
 	I := e.arena.alloc(len(irow))
 	for i, w := range irow {
 		if p := iprobs[i]; p >= e.alpha {
@@ -136,17 +139,44 @@ func (e *enumerator) branch(u int32) {
 		}
 	}
 	e.arena.shrink(len(irow), I.length())
-	// The p < α skips above are only reachable with SkipPrune.
 	e.stats.CandidateOps += int64(I.length())
-	e.stats.WitnessOps += int64(X.length())
-	if e.minSize >= 2 && 1+I.length() < e.minSize {
+	pruning := e.minSize >= 2
+	if pruning && 1+I.length() < e.minSize {
 		e.stats.SizePruned++
 		e.arena.release(m)
 		return
 	}
+	// X holds ≤ k filtered witnesses plus ≤ |I| pushes from the recursion's
+	// loop.
+	X := e.arena.alloc(k + I.length())
+	for i := 0; i < k; i++ {
+		if p := probs[i]; p >= e.alpha && !(pruning && e.rootPruned(row[i])) {
+			X = X.push(row[i], p)
+		}
+	}
+	e.stats.WitnessOps += int64(X.length())
 	C := append(e.cbuf[:0], u)
 	e.recurse(C, 1, I, X)
 	e.arena.release(m)
+}
+
+// rootPruned reports whether the root loop size-prunes w's own branch:
+// fewer than minSize-1 of w's neighbors above w meet α. It stops counting
+// at minSize-1, so its cost is bounded by the size threshold, not the row.
+func (e *enumerator) rootPruned(w int32) bool {
+	need := e.minSize - 1
+	_, probs := e.g.AdjacencySuffix(int(w), w)
+	if len(probs) < need {
+		return true
+	}
+	for _, p := range probs {
+		if p >= e.alpha {
+			if need--; need == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // merge folds o into s. All counter fields are sums or maxes, so merging

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -45,6 +46,92 @@ func TestWorkStealingMatchesSerialRandom(t *testing.T) {
 				pstats.CandidateOps != sstats.CandidateOps || pstats.SizePruned != sstats.SizePruned {
 				t.Fatalf("trial %d (minSize=%d): stats diverge\nserial = %+v\nws     = %+v",
 					trial, minSize, sstats, pstats)
+			}
+		}
+	}
+}
+
+// TestTopLevelStatsMatchSerialRandom checks, on 50 random graphs, that the
+// top-level engine and the serial driver report field-equal Stats under
+// plain MULE and LARGE-MULE. Both run the same root-loop body (branch), so
+// the size cut must precede the witness build and pruned root vertices must
+// stay out of later witness sets — any drift shows up in WitnessOps first.
+func TestTopLevelStatsMatchSerialRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(414))
+	densities := []float64{0.15, 0.3, 0.5, 0.8}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(60)
+		g := randomDyadic(n, densities[trial%len(densities)], rng)
+		alpha := dyadicAlphas[rng.Intn(len(dyadicAlphas))]
+		skip := trial%5 == 4 // exercise the p < α skips of branch
+		for _, minSize := range []int{0, 2, 4} {
+			_, sstats, err := CollectWith(g, alpha, Config{MinSize: minSize, SkipPrune: skip})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{MinSize: minSize, SkipPrune: skip, Workers: 4, Parallel: ParallelTopLevel}
+			_, pstats, err := CollectWith(g, alpha, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pstats != sstats {
+				t.Fatalf("trial %d (n=%d, α=%v, minSize=%d, skipPrune=%v): stats diverge\nserial   = %+v\ntoplevel = %+v",
+					trial, n, alpha, minSize, skip, sstats, pstats)
+			}
+		}
+	}
+}
+
+// recursionRootStats runs the search the textbook way: the root node holds
+// Î = every vertex with multiplier 1 and an empty X, and recurse expands
+// it like any other node. It prepares the working graph as EnumerateContext
+// does for a natural-order run and pins the sorted kernel, so its counters
+// are directly comparable with a serial IntersectSorted run.
+func recursionRootStats(g *uncertain.Graph, alpha float64, minSize int) Stats {
+	work := g.PruneAlpha(alpha)
+	if minSize >= 2 {
+		var err error
+		if work, err = sharedNeighborhoodFilter(work, minSize); err != nil {
+			panic(err)
+		}
+	}
+	n := work.NumVertices()
+	var stats Stats
+	e := &enumerator{
+		g: work, alpha: alpha, minSize: minSize, identity: true,
+		intersectMode: IntersectSorted, stats: &stats,
+		ctl: NewRunControl(context.Background(), 0), tick: abortCheckInterval,
+		arena: checkoutArena(n), cbuf: make([]int32, 0, 128),
+	}
+	defer e.releasePooled()
+	rootI := e.arena.alloc(n)
+	for v := 0; v < n; v++ {
+		rootI = rootI.push(int32(v), 1)
+	}
+	e.recurse(e.cbuf[:0], 1, rootI, e.arena.alloc(n))
+	return stats
+}
+
+// TestSerialRootLoopMatchesRecursionRoot pins the serial driver's root
+// loop against the recursion from the full root sets it replaces: every
+// work counter is identical on 50 random graphs, plain and LARGE-MULE.
+func TestSerialRootLoopMatchesRecursionRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(415))
+	densities := []float64{0.15, 0.3, 0.5, 0.8}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(60)
+		g := randomDyadic(n, densities[trial%len(densities)], rng)
+		alpha := dyadicAlphas[rng.Intn(len(dyadicAlphas))]
+		for _, minSize := range []int{0, 2, 4} {
+			got, err := EnumerateWith(g, alpha, nil, Config{MinSize: minSize, Intersect: IntersectSorted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := recursionRootStats(g, alpha, minSize)
+			got.Status, got.PrunedEdges, got.FilterRemoved = want.Status, 0, 0
+			if got != want {
+				t.Fatalf("trial %d (n=%d, α=%v, minSize=%d): stats diverge\nroot loop = %+v\nrecursion = %+v",
+					trial, n, alpha, minSize, got, want)
 			}
 		}
 	}

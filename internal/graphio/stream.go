@@ -99,7 +99,23 @@ func remainingBytes(r io.Reader) int64 {
 	return end - cur
 }
 
+// scanText parses the text format: one "u v p" edge per line, blank lines
+// and '#' comments skipped, and an optional "vertices n" directive.
 func scanText(r io.Reader, fn EdgeFunc) (Header, error) {
+	return scanTextLines(r, fn, true)
+}
+
+// Kinds of text line, as classified by parseTextLine and parseTextLineFast.
+const (
+	lineSkip     = iota // blank or '#' comment
+	lineEdge            // "u v p"
+	lineVertices        // "vertices n"
+)
+
+// scanTextLines is scanText with the byte-scanning fast path switchable:
+// fast=false parses every line with the strings.Fields reference alone,
+// which the differential tests compare against.
+func scanTextLines(r io.Reader, fn EdgeFunc, fast bool) (Header, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	h := Header{Vertices: -1}
@@ -107,39 +123,26 @@ func scanText(r io.Reader, fn EdgeFunc) (Header, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+		var (
+			kind, u, v int
+			p          float64
+			ok         bool
+		)
+		if fast {
+			kind, u, v, p, ok = parseTextLineFast(sc.Bytes())
 		}
-		fields := strings.Fields(text)
-		if fields[0] == "vertices" {
-			if len(fields) != 2 {
-				return h, fmt.Errorf("graphio: line %d: malformed vertices directive: %w", line, ErrFormat)
+		if !ok {
+			var err error
+			if kind, u, v, p, err = parseTextLine(sc.Text(), line); err != nil {
+				return h, err
 			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil || v < 0 {
-				return h, fmt.Errorf("graphio: line %d: bad vertex count %q: %w", line, fields[1], ErrFormat)
-			}
-			h.Vertices, h.Declared = v, true
+		}
+		switch kind {
+		case lineSkip:
 			continue
-		}
-		if len(fields) != 3 {
-			return h, fmt.Errorf("graphio: line %d: want 'u v p', got %q: %w", line, text, ErrFormat)
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, fields[0], ErrFormat)
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, fields[1], ErrFormat)
-		}
-		p, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad probability %q: %w", line, fields[2], ErrFormat)
-		}
-		if u < 0 || v < 0 || u > maxEndpoint || v > maxEndpoint {
-			return h, fmt.Errorf("graphio: line %d: vertex out of range: %w", line, ErrFormat)
+		case lineVertices:
+			h.Vertices, h.Declared = u, true
+			continue
 		}
 		if u > maxV {
 			maxV = u
@@ -162,6 +165,104 @@ func scanText(r io.Reader, fn EdgeFunc) (Header, error) {
 		return h, fmt.Errorf("graphio: edge endpoint %d exceeds declared vertex count %d: %w", maxV, h.Vertices, ErrFormat)
 	}
 	return h, nil
+}
+
+// parseTextLine is the reference line parser: strings.TrimSpace and
+// strings.Fields (Unicode whitespace), and every error message the text
+// format reports. A vertices directive returns its count in u.
+func parseTextLine(text string, line int) (kind, u, v int, p float64, err error) {
+	text = strings.TrimSpace(text)
+	if text == "" || strings.HasPrefix(text, "#") {
+		return lineSkip, 0, 0, 0, nil
+	}
+	fields := strings.Fields(text)
+	if fields[0] == "vertices" {
+		if len(fields) != 2 {
+			return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: malformed vertices directive: %w", line, ErrFormat)
+		}
+		n, err := strconv.Atoi(fields[1])
+		if err != nil || n < 0 {
+			return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: bad vertex count %q: %w", line, fields[1], ErrFormat)
+		}
+		return lineVertices, n, 0, 0, nil
+	}
+	if len(fields) != 3 {
+		return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: want 'u v p', got %q: %w", line, text, ErrFormat)
+	}
+	if u, err = strconv.Atoi(fields[0]); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, fields[0], ErrFormat)
+	}
+	if v, err = strconv.Atoi(fields[1]); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, fields[1], ErrFormat)
+	}
+	if p, err = strconv.ParseFloat(fields[2], 64); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: bad probability %q: %w", line, fields[2], ErrFormat)
+	}
+	if u < 0 || v < 0 || u > maxEndpoint || v > maxEndpoint {
+		return 0, 0, 0, 0, fmt.Errorf("graphio: line %d: vertex out of range: %w", line, ErrFormat)
+	}
+	return lineEdge, u, v, p, nil
+}
+
+// asciiSpace marks the ASCII bytes strings.Fields and strings.TrimSpace
+// treat as whitespace.
+var asciiSpace = [128]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseTextLineFast is the allocation-free path for the common line: it
+// splits b on ASCII whitespace in place and parses the three fields of an
+// edge, and it skips blank and comment lines. ok=false defers the line to
+// parseTextLine — a byte ≥ 0x80 before a comment marker (Unicode
+// whitespace is the reference's business), a vertices directive, a field
+// count other than three, or any failed parse or range check — so results,
+// errors and line numbers are the reference's by construction. The
+// string(field) conversions do not escape into strconv, so a field of up
+// to 32 bytes converts in a stack buffer without allocating.
+func parseTextLineFast(b []byte) (kind, u, v int, p float64, ok bool) {
+	var fields [3][]byte
+	nf := 0
+	for i := 0; i < len(b); {
+		c := b[i]
+		if c >= 0x80 {
+			return 0, 0, 0, 0, false
+		}
+		if asciiSpace[c] {
+			i++
+			continue
+		}
+		if nf == 0 && c == '#' {
+			return lineSkip, 0, 0, 0, true
+		}
+		if nf == len(fields) {
+			return 0, 0, 0, 0, false
+		}
+		j := i + 1
+		for j < len(b) && b[j] < 0x80 && !asciiSpace[b[j]] {
+			j++
+		}
+		fields[nf] = b[i:j]
+		nf++
+		i = j
+	}
+	if nf == 0 {
+		return lineSkip, 0, 0, 0, true
+	}
+	if nf != 3 || string(fields[0]) == "vertices" {
+		return 0, 0, 0, 0, false
+	}
+	var err error
+	if u, err = strconv.Atoi(string(fields[0])); err != nil {
+		return 0, 0, 0, 0, false
+	}
+	if v, err = strconv.Atoi(string(fields[1])); err != nil {
+		return 0, 0, 0, 0, false
+	}
+	if p, err = strconv.ParseFloat(string(fields[2]), 64); err != nil {
+		return 0, 0, 0, 0, false
+	}
+	if u < 0 || v < 0 || u > maxEndpoint || v > maxEndpoint {
+		return 0, 0, 0, 0, false
+	}
+	return lineEdge, u, v, p, true
 }
 
 func scanBinary(r io.Reader, remaining int64, fn EdgeFunc) (Header, error) {
